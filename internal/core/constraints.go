@@ -264,23 +264,7 @@ func compileConstraints(m *Model, c *Constraints) (*ConstraintSet, error) {
 		return nil, err
 	}
 	nA, nT := m.NumAttrs(), m.NumTxns()
-	cs := &ConstraintSet{
-		src:           c,
-		maxSite:       -1,
-		txnPin:        make([]int32, nT),
-		attrRequired:  make([][]int32, nA),
-		attrForbidden: make([][]int32, nA),
-		attrMax:       make([]int32, nA),
-		colocGroup:    make([]int32, nA),
-		sepPartners:   make([][]int32, nA),
-	}
-	for t := range cs.txnPin {
-		cs.txnPin[t] = -1
-	}
-	for a := range cs.attrMax {
-		cs.attrMax[a] = unlimitedReplicas
-		cs.colocGroup[a] = -1
-	}
+	cs := newConstraintSet(m, c)
 	site := func(s int) int {
 		if s > cs.maxSite {
 			cs.maxSite = s
@@ -502,6 +486,38 @@ func compileConstraints(m *Model, c *Constraints) (*ConstraintSet, error) {
 		}
 	}
 	return cs, nil
+}
+
+// newConstraintSet allocates the compiled form of c for m with nothing
+// resolved yet: no pin, forbid, colocation, separation, replica cap or
+// capacity.
+func newConstraintSet(m *Model, c *Constraints) *ConstraintSet {
+	nA, nT := m.NumAttrs(), m.NumTxns()
+	cs := &ConstraintSet{
+		src:           c,
+		maxSite:       -1,
+		txnPin:        make([]int32, nT),
+		attrRequired:  make([][]int32, nA),
+		attrForbidden: make([][]int32, nA),
+		attrMax:       make([]int32, nA),
+		colocGroup:    make([]int32, nA),
+		sepPartners:   make([][]int32, nA),
+	}
+	for t := range cs.txnPin {
+		cs.txnPin[t] = -1
+	}
+	for a := range cs.attrMax {
+		cs.attrMax[a] = unlimitedReplicas
+		cs.colocGroup[a] = -1
+	}
+	return cs
+}
+
+// EmptyConstraintSet returns the compiled empty set for m. It admits exactly
+// the layouts a nil set does, so a solver that always consults a compiled
+// set uses it for unconstrained models.
+func EmptyConstraintSet(m *Model) *ConstraintSet {
+	return newConstraintSet(m, &Constraints{})
 }
 
 func containsSite(list []int32, s int32) bool {

@@ -134,7 +134,6 @@ func (m *session) run(ctx context.Context) {
 	}()
 
 	m.solve(ctx) // initial cold solve
-	m.publish()
 	for {
 		if ctx.Err() != nil {
 			return
@@ -190,7 +189,6 @@ func (m *session) run(ctx context.Context) {
 		}
 
 		m.solve(ctx)
-		m.publish()
 	}
 }
 
@@ -207,6 +205,15 @@ func (m *session) drain() {
 	}
 	for _, q := range batch {
 		err := m.sess.Apply(q.delta)
+		// Log before the broadcast below wakes the delta's waiter, which may
+		// look for the line at once.
+		if err != nil {
+			m.svc.logger.Warn("delta rejected", "session", m.name, "seq", q.seq, "error", err)
+			m.svc.reg.Counter("vpartd_delta_errors_total",
+				"rejected workload deltas", metrics.Labels{"session": m.name}).Inc()
+		} else {
+			m.svc.logger.Debug("delta applied", "session", m.name, "seq", q.seq, "ops", len(q.delta.Ops))
+		}
 		m.mu.Lock()
 		m.drainedSeq = q.seq
 		m.queuedOps -= len(q.delta.Ops)
@@ -225,13 +232,6 @@ func (m *session) drain() {
 		}
 		m.broadcastLocked()
 		m.mu.Unlock()
-		if err != nil {
-			m.svc.logger.Warn("delta rejected", "session", m.name, "seq", q.seq, "error", err)
-			m.svc.reg.Counter("vpartd_delta_errors_total",
-				"rejected workload deltas", metrics.Labels{"session": m.name}).Inc()
-		} else {
-			m.svc.logger.Debug("delta applied", "session", m.name, "seq", q.seq, "ops", len(q.delta.Ops))
-		}
 	}
 	m.svc.pendingGauge(m.name).Set(float64(m.pendingOps()))
 }
@@ -373,13 +373,17 @@ func (m *session) flushPartialEpoch() {
 }
 
 // solve runs one resolve attempt under a cancellable per-resolve context and
-// records the outcome (stats, metrics, trajectory, Await bookkeeping).
+// records the outcome (stats, metrics, trajectory, Await bookkeeping). The
+// new state is published before Await waiters are woken, so a waiter that
+// sees its delta covered also reads the state that covers it.
 func (m *session) solve(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	// Fold the partial epoch first: the solve should price the freshest
-	// workload the stream has delivered.
+	// Apply the deltas that arrived since the loop last drained and fold the
+	// partial epoch: the solve should price the freshest workload, and a
+	// delta that triggered it must not wait for a second resolve.
+	m.drain()
 	m.flushPartialEpoch()
 	m.mu.Lock()
 	m.force = false
@@ -395,12 +399,14 @@ func (m *session) solve(ctx context.Context) {
 	m.resolving.Store(false)
 	cancel()
 
+	st := m.newState()
 	if err != nil {
 		m.mu.Lock()
 		m.attempts++
 		m.failedSeq = covered
 		m.failErr = err
 		m.lastErrStr = err.Error()
+		m.publishLocked(st)
 		m.broadcastLocked()
 		m.mu.Unlock()
 		m.svc.reg.Counter("vpartd_resolves_total", "resolve attempts",
@@ -431,6 +437,7 @@ func (m *session) solve(ctx context.Context) {
 	m.lastCost = stats.Cost
 	m.sessPending = 0
 	m.trajectory = append(m.trajectory, stats.Cost.Balanced)
+	m.publishLocked(st)
 	m.broadcastLocked()
 	m.mu.Unlock()
 
@@ -493,7 +500,16 @@ func (m *session) onProgress(e vpart.Event) {
 // worker (and Create, before the worker starts) calls it, so reading the
 // wrapped session here cannot block on a running solve.
 func (m *session) publish() {
-	st := &SessionState{
+	st := m.newState()
+	m.mu.Lock()
+	m.publishLocked(st)
+	m.mu.Unlock()
+}
+
+// newState starts a state snapshot with the fields read from the wrapped
+// session. It runs outside mu: pricing the staleness evaluates the model.
+func (m *session) newState() *SessionState {
+	return &SessionState{
 		Name:      m.name,
 		CreatedAt: m.createdAt,
 		Sites:     m.sites,
@@ -501,7 +517,12 @@ func (m *session) publish() {
 		Instance:  m.sess.Instance().Stats(),
 		Staleness: m.sess.Staleness(),
 	}
-	m.mu.Lock()
+}
+
+// publishLocked completes st from the bookkeeping guarded by mu, which the
+// caller holds, and stores it. The worker publishes and wakes Await waiters
+// in one critical section this way.
+func (m *session) publishLocked(st *SessionState) {
 	st.PendingOps = m.queuedOps + m.sessPending
 	st.Resolves = m.resolves
 	st.Incumbent = m.lastAsg
@@ -525,7 +546,6 @@ func (m *session) publish() {
 			st.Ingest.Broken = m.ingBroken.Error()
 		}
 	}
-	m.mu.Unlock()
 	m.state.Store(st)
 }
 

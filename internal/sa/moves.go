@@ -57,7 +57,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			if st == p.TxnSite[t] {
 				continue
 			}
-			if s.ct != nil {
+			if s.constrained {
 				// Constrained: the target site must be allowed for the
 				// transaction, and the replica additions the relocation drags
 				// along (its read set plus their colocation partners) must fit
@@ -105,7 +105,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			delta += ev.ApplyDropReplica(a, old)
 			continue
 		}
-		if s.ct != nil {
+		if s.constrained {
 			// Constrained: candidate sites are the missing ones the whole
 			// unit (the attribute plus its colocation partners) may extend
 			// to — allowed-site bitsets, separations, replica caps and
@@ -246,10 +246,10 @@ func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 	} else {
 		s.findSolution(s.scratch, "y")
 	}
-	if s.ct != nil && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
-		// The constrained greedy y-rebuild had to relax a capacity or
-		// separation on its fallback path: price the batch as +Inf so the
-		// Metropolis test rejects it without any move being applied.
+	if s.constrained && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
+		// The greedy y-rebuild had to relax a capacity or separation on its
+		// fallback path: price the batch as +Inf so the Metropolis test
+		// rejects it without any move being applied.
 		return math.Inf(1)
 	}
 

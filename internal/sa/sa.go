@@ -119,9 +119,11 @@ type Options struct {
 	// disjoint mode only the transaction assignment is taken from the hint;
 	// the attribute assignment is rebuilt disjointly around it.
 	Initial *core.Partitioning
-	// Disjoint forbids attribute replication. In this mode transactions that
-	// share read attributes are moved as one component (single-sitedness
-	// without replication forces them onto the same site).
+	// Disjoint forbids attribute replication. The greedy subproblem passes
+	// treat it as a replica cap of 1 on every attribute; the random moves
+	// relocate transactions that share read attributes as one component
+	// (single-sitedness without replication forces them onto the same
+	// site), together with the attributes they read.
 	Disjoint bool
 	// TimeLimit bounds the wall-clock time (0 = none). The paper gives the
 	// heuristic 30 seconds per iteration; a whole-run limit is the practical

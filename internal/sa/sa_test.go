@@ -11,6 +11,7 @@ import (
 
 	"vpart/internal/core"
 	"vpart/internal/progress"
+	"vpart/internal/randgen"
 	"vpart/internal/tpcc"
 )
 
@@ -443,6 +444,39 @@ func TestPerturbSteadyStateAllocationFree(t *testing.T) {
 			ev.Undo()
 		}); allocs != 0 {
 			t.Errorf("disjoint=%v: perturb/undo cycle allocates %.1f objects per run", disjoint, allocs)
+		}
+	}
+}
+
+// TestSolveDisjointMultiComponent runs disjoint mode on an instance whose
+// transactions fall into several read-sharing components. On TPC-C every
+// transaction lands in one component, so only an instance like this one
+// exercises the component moves and the placement of unread attributes.
+func TestSolveDisjointMultiComponent(t *testing.T) {
+	inst, err := randgen.Generate(randgen.ClassA(64, 10, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustModel(t, inst, core.DefaultModelOptions())
+	const sites = 4
+	if n := len(newSolver(m, Options{Sites: sites, Disjoint: true}).components); n < 2 {
+		t.Fatalf("instance has %d component(s), want several", n)
+	}
+	single := m.Evaluate(core.SingleSite(m, sites)).Balanced
+	for seed := int64(1); seed <= 3; seed++ {
+		res, err := Solve(context.Background(), m, Options{Sites: sites, Seed: seed, Disjoint: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partitioning.IsDisjoint() {
+			t.Fatalf("seed %d: disjoint mode returned a replicated partitioning", seed)
+		}
+		if err := res.Partitioning.Validate(m); err != nil {
+			t.Fatalf("seed %d: infeasible result: %v", seed, err)
+		}
+		if res.Cost.Balanced >= single {
+			t.Errorf("seed %d: %d sites cost %.6g, no better than the single-site %.6g",
+				seed, sites, res.Cost.Balanced, single)
 		}
 	}
 }

@@ -70,11 +70,7 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*Result, error) {
 func (s *solver) findSolution(p *core.Partitioning, fix string) {
 	if fix == "x" {
 		// x is fixed, optimise y.
-		if s.opts.Disjoint {
-			s.solveYGivenXDisjoint(p)
-		} else {
-			s.solveYGivenX(p)
-		}
+		s.solveYGivenX(p)
 		return
 	}
 	// y is fixed, optimise x.
@@ -95,7 +91,7 @@ func (s *solver) randomX(rng *rand.Rand, p *core.Partitioning) {
 		return
 	}
 	for t := range p.TxnSite {
-		if s.ct == nil {
+		if !s.constrained {
 			p.TxnSite[t] = rng.Intn(s.sites)
 			continue
 		}

@@ -18,20 +18,27 @@ type solver struct {
 
 	// readersOf[a] lists the transactions that read attribute a (ϕ).
 	readersOf [][]int
-	// components groups transactions that transitively share read attributes;
-	// used in disjoint mode where they must co-locate.
+	// lpt lists every attribute by decreasing C4+C2 weight, ties by index:
+	// the order in which the greedy y-pass covers unplaced attributes.
+	lpt []int
+	// components groups transactions that transitively share read
+	// attributes. Only the disjoint-mode moves (perturb, randomX) use them:
+	// without replication a component's members must share a site, so
+	// they relocate as one.
 	components [][]int
-	compOf     []int
-	// compAttrs[ci] lists the attributes read by component ci's members; in
-	// disjoint mode they relocate together with the component.
+	// compAttrs[ci] lists the attributes read by component ci's members;
+	// a disjoint-mode component move relocates them with it.
 	compAttrs [][]int
 
-	// Placement constraints (nil for unconstrained models): the compiled set
-	// and its site-count-flattened tables. Every neighbourhood move and
-	// greedy placement consults them, so the search walks the feasible
-	// region instead of repairing after the fact.
-	cs *core.ConstraintSet
-	ct *core.ConstraintTables
+	// Placement constraints: the compiled set and its site-count-flattened
+	// tables, never nil (core.EmptyConstraintSet for unconstrained models).
+	// The greedy passes always consult them, so one pass serves every
+	// model; constrained reports whether the model carries a set at all and
+	// picks the constraint-checking branches of the neighbourhood moves,
+	// which the unconstrained hot loop skips.
+	cs          *core.ConstraintSet
+	ct          *core.ConstraintTables
+	constrained bool
 
 	// Scratch buffers reused across iterations so the steady-state inner loop
 	// does not allocate.
@@ -42,7 +49,7 @@ type solver struct {
 	work     []float64          // greedy passes: running site work
 	order    []int              // greedy passes: processing order
 	weights  []float64          // greedy passes: ordering weights
-	bytes    []int64            // greedy passes: running site bytes (constrained)
+	bytes    []int64            // greedy passes: running site bytes (capacities only)
 	dragBuf  []int              // perturb: pending additions of one txn move
 	unitSelf [1]int32           // unitMembers' singleton backing (no alloc)
 
@@ -75,12 +82,26 @@ func newSolver(m *core.Model, opts Options) *solver {
 	s := &solver{m: m, sites: opts.Sites, opts: opts}
 	s.txnsOn = make([][]int, s.sites)
 	s.work = make([]float64, s.sites)
-	if cs := m.Constraints(); cs != nil {
-		s.cs = cs
-		s.ct = cs.Tables(m, s.sites)
-		s.bytes = make([]int64, s.sites)
+	s.bytes = make([]int64, s.sites)
+	s.cs = m.Constraints()
+	s.constrained = s.cs != nil
+	if !s.constrained {
+		s.cs = core.EmptyConstraintSet(m)
 	}
+	s.ct = s.cs.Tables(m, s.sites)
 	nA, nT := m.NumAttrs(), m.NumTxns()
+	s.lpt = make([]int, nA)
+	for a := range s.lpt {
+		s.lpt[a] = a
+	}
+	sort.Slice(s.lpt, func(i, j int) bool {
+		ai, aj := s.lpt[i], s.lpt[j]
+		wi, wj := m.C4(ai)+m.C2(ai), m.C4(aj)+m.C2(aj)
+		if wi != wj {
+			return wi > wj
+		}
+		return ai < aj
+	})
 	s.readersOf = make([][]int, nA)
 	for t := 0; t < nT; t++ {
 		for _, a := range m.TxnReadAttrs(t) {
@@ -104,7 +125,7 @@ func newSolver(m *core.Model, opts Options) *solver {
 			parent[find(readers[i])] = find(readers[0])
 		}
 	}
-	s.compOf = make([]int, nT)
+	compOf := make([]int, nT)
 	index := map[int]int{}
 	for t := 0; t < nT; t++ {
 		root := find(t)
@@ -114,13 +135,13 @@ func newSolver(m *core.Model, opts Options) *solver {
 			index[root] = ci
 			s.components = append(s.components, nil)
 		}
-		s.compOf[t] = ci
+		compOf[t] = ci
 		s.components[ci] = append(s.components[ci], t)
 	}
 	s.compAttrs = make([][]int, len(s.components))
 	for a, readers := range s.readersOf {
 		if len(readers) > 0 {
-			ci := s.compOf[readers[0]]
+			ci := compOf[readers[0]]
 			s.compAttrs[ci] = append(s.compAttrs[ci], a)
 		}
 	}
@@ -149,152 +170,11 @@ func (s *solver) resetWork() []float64 {
 // lambda returns λ of the model.
 func (s *solver) lambda() float64 { return s.m.Options().Lambda }
 
-// solveYGivenX computes an attribute assignment for the fixed transaction
-// assignment, writing it into p.AttrSites. It respects single-sitedness
-// (forced replicas), covers every attribute at least once, adds beneficial
-// extra replicas (negative marginal cost) and balances load greedily.
-func (s *solver) solveYGivenX(p *core.Partitioning) {
-	if s.ct != nil {
-		s.solveYGivenXConstrained(p)
-		return
-	}
-	m := s.m
-	nA := m.NumAttrs()
-	lam := s.lambda()
-
-	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			p.AttrSites[a][st] = false
-		}
-	}
-
-	// Marginal objective-(4) cost of placing attribute a on site st:
-	// C2(a) + Σ_{t on st} C1(a,t). Build the per-site transaction lists once.
-	txnsOn := s.txnsBySite(p)
-	costOf := func(a, st int) float64 {
-		c := m.C2(a)
-		for _, t := range txnsOn[st] {
-			c += m.C1(a, t)
-		}
-		return c
-	}
-	loadOf := func(a, st int) float64 {
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		return l
-	}
-
-	work := s.resetWork()
-	maxWork := func() float64 {
-		mw := 0.0
-		for _, w := range work {
-			if w > mw {
-				mw = w
-			}
-		}
-		return mw
-	}
-
-	// Forced placements first (single-sitedness of reads).
-	for t := 0; t < m.NumTxns(); t++ {
-		st := p.TxnSite[t]
-		for _, a := range m.TxnReadAttrs(t) {
-			p.AttrSites[a][st] = true
-		}
-	}
-	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			if p.AttrSites[a][st] {
-				work[st] += loadOf(a, st)
-			}
-		}
-	}
-
-	// Process unplaced attributes in decreasing weight order (LPT-style) so
-	// the load balancing term is handled sensibly.
-	order := s.order[:0]
-	for a := 0; a < nA; a++ {
-		if p.Replicas(a) == 0 {
-			order = append(order, a)
-		}
-	}
-	s.order = order
-	sort.Slice(order, func(i, j int) bool {
-		wi := m.C4(order[i]) + m.C2(order[i])
-		wj := m.C4(order[j]) + m.C2(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
-	cur := maxWork()
-	// rush: the cancellation probe fired mid-pass. The remaining attributes
-	// still need a site (the pass cleared every row above), so they are dumped
-	// on site 0 unscored — feasible, just unoptimised — and the optional
-	// extra-replica sweep is skipped entirely.
-	rush := false
-	for _, a := range order {
-		if !rush && s.stopped() {
-			rush = true
-		}
-		if rush {
-			p.AttrSites[a][0] = true
-			work[0] += loadOf(a, 0)
-			if work[0] > cur {
-				cur = work[0]
-			}
-			continue
-		}
-		best, bestScore := 0, 0.0
-		for st := 0; st < s.sites; st++ {
-			delta := work[st] + loadOf(a, st) - cur
-			if delta < 0 {
-				delta = 0
-			}
-			score := lam*costOf(a, st) + (1-lam)*delta
-			if st == 0 || score < bestScore {
-				best, bestScore = st, score
-			}
-		}
-		p.AttrSites[a][best] = true
-		work[best] += loadOf(a, best)
-		if work[best] > cur {
-			cur = work[best]
-		}
-	}
-
-	// Beneficial extra replicas: a replica whose combined cost and load
-	// effect is negative always pays off. Skipped in disjoint mode.
-	if !s.opts.Disjoint && !rush {
-		for a := 0; a < nA; a++ {
-			if s.stopped() {
-				break
-			}
-			for st := 0; st < s.sites; st++ {
-				if p.AttrSites[a][st] {
-					continue
-				}
-				delta := work[st] + loadOf(a, st) - cur
-				if delta < 0 {
-					delta = 0
-				}
-				if lam*costOf(a, st)+(1-lam)*delta < 0 {
-					p.AttrSites[a][st] = true
-					work[st] += loadOf(a, st)
-					if work[st] > cur {
-						cur = work[st]
-					}
-				}
-			}
-		}
-	}
-}
-
 // solveXGivenY re-assigns transactions to sites for a fixed attribute
 // assignment. Only sites that hold all read attributes of a transaction are
-// feasible. In disjoint mode whole components are assigned together.
+// feasible. In disjoint mode that leaves each transaction with reads exactly
+// one feasible site, its component's, so components stay together without
+// being assigned as units.
 func (s *solver) solveXGivenY(p *core.Partitioning) {
 	m := s.m
 	lam := s.lambda()
@@ -321,7 +201,7 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		return cost, load
 	}
 	feasible := func(t, st int) bool {
-		if s.ct != nil && !s.txnSiteOK(t, st) {
+		if !s.txnSiteOK(t, st) {
 			return false
 		}
 		for _, a := range m.TxnReadAttrs(t) {
@@ -351,11 +231,6 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		}
 		return order[i] < order[j]
 	})
-
-	if s.opts.Disjoint {
-		s.assignComponents(p, work)
-		return
-	}
 
 	cur := 0.0
 	for _, w := range work {
@@ -398,76 +273,6 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 	}
 }
 
-// assignComponents places whole components of transactions (disjoint mode).
-func (s *solver) assignComponents(p *core.Partitioning, work []float64) {
-	m := s.m
-	lam := s.lambda()
-	cur := 0.0
-	for _, w := range work {
-		if w > cur {
-			cur = w
-		}
-	}
-	for _, comp := range s.components {
-		// Cancellation mid-pass: the remaining components keep their sites.
-		if s.stopped() {
-			break
-		}
-		// Feasible sites: those holding all read attributes of every member.
-		best, bestScore, found := 0, 0.0, false
-		for st := 0; st < s.sites; st++ {
-			ok := true
-			for _, t := range comp {
-				for _, a := range m.TxnReadAttrs(t) {
-					if !p.AttrSites[a][st] {
-						ok = false
-						break
-					}
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			cost, load := 0.0, 0.0
-			for _, t := range comp {
-				for _, tc := range m.TxnTerms(t) {
-					if p.AttrSites[tc.Attr][st] {
-						cost += tc.C1
-						load += tc.C3
-					}
-				}
-			}
-			delta := work[st] + load - cur
-			if delta < 0 {
-				delta = 0
-			}
-			score := lam*cost + (1-lam)*delta
-			if !found || score < bestScore {
-				best, bestScore, found = st, score, true
-			}
-		}
-		if !found {
-			best = p.TxnSite[comp[0]]
-		}
-		for _, t := range comp {
-			p.TxnSite[t] = best
-		}
-		for _, t := range comp {
-			for _, tc := range m.TxnTerms(t) {
-				if p.AttrSites[tc.Attr][best] {
-					work[best] += tc.C3
-				}
-			}
-		}
-		if work[best] > cur {
-			cur = work[best]
-		}
-	}
-}
-
 // --- placement-constraint support ------------------------------------------
 
 // txnSiteOK reports whether transaction t may run on site st under the
@@ -476,13 +281,9 @@ func (s *solver) txnSiteOK(t, st int) bool {
 	return s.ct.TxnAllowed[t*s.sites+st]
 }
 
-// attrForbiddenAt / attrRequiredAt are the O(1) flattened lookups.
+// attrForbiddenAt is the O(1) flattened forbidden-site lookup.
 func (s *solver) attrForbiddenAt(a, st int) bool {
 	return s.ct.AttrForbidden[a*s.sites+st]
-}
-
-func (s *solver) attrRequiredAt(a, st int) bool {
-	return s.ct.AttrRequired[a*s.sites+st]
 }
 
 // unitMembers returns the attributes that must be placed together with a:
@@ -515,13 +316,72 @@ func (s *solver) resetBytes() []int64 {
 	return s.bytes
 }
 
-// solveYGivenXConstrained is solveYGivenX for a constrained model: forced and
-// required replicas are placed first, colocation groups place as one unit,
-// and every further placement respects forbidden sites, separation partners,
-// replica caps and site capacities. When the hard placements alone overrun a
-// capacity there is nothing local search can do about it — the caller's
-// feasibility check (Partitioning.Validate) reports it.
-func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
+// replicaCap returns the number of replicas the greedy y-pass may give
+// attribute a: its MaxReplicas cap, or 1 in disjoint mode.
+func (s *solver) replicaCap(a int) int {
+	if s.opts.Disjoint {
+		return 1
+	}
+	return s.cs.MaxReplicasOf(a)
+}
+
+// unitWidth sums the widths of a placement unit's members. Only capFits
+// reads the sum, so without site capacities it is left at 0.
+func (s *solver) unitWidth(members []int32) int64 {
+	var w int64
+	if s.ct.HasCap {
+		for _, b := range members {
+			w += int64(s.m.Attr(int(b)).Width)
+		}
+	}
+	return w
+}
+
+// restricted reports whether some member of a placement unit has a
+// forbidden site or a separation partner, i.e. whether unitFits can fail.
+func (s *solver) restricted(members []int32) bool {
+	for _, b := range members {
+		if len(s.cs.Forbidden(int(b))) > 0 || len(s.cs.SeparatedFrom(int(b))) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// unitFits reports whether every member of a placement unit may be stored
+// on site st: none is forbidden there or has a separation partner there.
+func (s *solver) unitFits(p *core.Partitioning, members []int32, st int) bool {
+	for _, b := range members {
+		if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
+			return false
+		}
+	}
+	return true
+}
+
+// capFits reports whether site st has room for width more bytes on top of
+// the greedy pass's running usage.
+func (s *solver) capFits(st int, width int64) bool {
+	if !s.ct.HasCap {
+		return true
+	}
+	cap := s.ct.SiteCap[st]
+	return cap < 0 || s.bytes[st]+width <= cap
+}
+
+// solveYGivenX computes an attribute assignment for the fixed transaction
+// assignment, writing it into p.AttrSites. Hard placements come first:
+// single-sitedness of reads (forced replicas), required sites, and the
+// colocation closure of both. The still-unplaced units (an attribute, or its
+// colocation group) are then covered in LPT order, and beneficial extra
+// replicas (negative marginal cost) are added last. Every placement after
+// the hard ones respects forbidden sites, separation partners, replica caps
+// and site capacities, and is scored on both the cost (λ) and the load (1−λ)
+// term. Disjoint mode is a replica cap of 1, so the extra-replica sweep adds
+// nothing there. When the hard placements alone overrun a capacity there is
+// nothing local search can do about it — the caller's feasibility check
+// (Partitioning.Validate) reports it.
+func (s *solver) solveYGivenX(p *core.Partitioning) {
 	m := s.m
 	nA := m.NumAttrs()
 	lam := s.lambda()
@@ -532,13 +392,18 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		}
 	}
 
+	// Marginal objective-(4) cost of placing attribute a on site st,
+	// C2(a) + Σ_{t on st} C1(a,t), and its load C4(a) + Σ_{t on st} C3(a,t),
+	// summed in one walk over the site's transactions. Build the per-site
+	// transaction lists once.
 	txnsOn := s.txnsBySite(p)
-	costOf := func(a, st int) float64 {
-		c := m.C2(a)
+	costLoad := func(a, st int) (c, l float64) {
+		c, l = m.C2(a), m.C4(a)
 		for _, t := range txnsOn[st] {
 			c += m.C1(a, t)
+			l += m.C3(a, t)
 		}
-		return c
+		return c, l
 	}
 	loadOf := func(a, st int) float64 {
 		l := m.C4(a)
@@ -548,29 +413,35 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		return l
 	}
 
+	// Site byte usage is tracked only when some site has a capacity.
 	work := s.resetWork()
 	bytes := s.resetBytes()
+	hasCap := s.ct.HasCap
 	place := func(a, st int) {
 		if p.AttrSites[a][st] {
 			return
 		}
 		p.AttrSites[a][st] = true
 		work[st] += loadOf(a, st)
-		bytes[st] += int64(m.Attr(a).Width)
+		if hasCap {
+			bytes[st] += int64(m.Attr(a).Width)
+		}
 	}
 
 	// Hard placements: single-sitedness of reads, required sites, then the
-	// colocation closure of both.
+	// colocation closure of both. They are marked first and charged to the
+	// sites afterwards in attribute order, so each site's work is summed in
+	// one fixed order whatever placed its attributes.
 	for t := 0; t < m.NumTxns(); t++ {
 		st := p.TxnSite[t]
 		for _, a := range m.TxnReadAttrs(t) {
-			place(a, st)
+			p.AttrSites[a][st] = true
 		}
 	}
 	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			if s.attrRequiredAt(a, st) {
-				place(a, st)
+		for _, st := range s.cs.Required(a) {
+			if int(st) < s.sites {
+				p.AttrSites[a][st] = true
 			}
 		}
 	}
@@ -589,12 +460,21 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 			}
 			if on {
 				for _, a := range members {
-					place(int(a), st)
+					p.AttrSites[a][st] = true
 				}
 			}
 		}
 	}
-
+	for a := 0; a < nA; a++ {
+		for st := 0; st < s.sites; st++ {
+			if p.AttrSites[a][st] {
+				work[st] += loadOf(a, st)
+				if hasCap {
+					bytes[st] += int64(m.Attr(a).Width)
+				}
+			}
+		}
+	}
 	cur := 0.0
 	for _, w := range work {
 		if w > cur {
@@ -608,7 +488,7 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 	// allowed site has room — covering every attribute outranks the cap,
 	// and the feasibility check reports the overrun).
 	order := s.order[:0]
-	for a := 0; a < nA; a++ {
+	for _, a := range s.lpt {
 		if p.Replicas(a) > 0 {
 			continue
 		}
@@ -618,14 +498,6 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		order = append(order, a)
 	}
 	s.order = order
-	sort.Slice(order, func(i, j int) bool {
-		wi := m.C4(order[i]) + m.C2(order[i])
-		wj := m.C4(order[j]) + m.C2(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
 	// rush: the cancellation probe fired mid-pass. Remaining units still need
 	// a site (every row was cleared above); they take their first allowed site
 	// unscored via the same relax fallback the no-site case uses, keeping the
@@ -649,34 +521,20 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 			continue
 		}
 		members := s.unitMembers(a)
-		var unitWidth int64
-		for _, b := range members {
-			unitWidth += int64(m.Attr(int(b)).Width)
-		}
-		allowedAt := func(st int, respectCap bool) bool {
-			for _, b := range members {
-				if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
-					return false
-				}
-			}
-			if respectCap && s.ct.HasCap {
-				if cap := s.ct.SiteCap[st]; cap >= 0 && bytes[st]+unitWidth > cap {
-					return false
-				}
-			}
-			return true
-		}
+		unitWidth := s.unitWidth(members)
+		restricted := s.restricted(members)
 		best, bestScore, found := -1, 0.0, false
 		for pass := 0; pass < 2 && !found; pass++ {
 			respectCap := pass == 0
 			for st := 0; st < s.sites; st++ {
-				if !allowedAt(st, respectCap) {
+				if restricted && !s.unitFits(p, members, st) || respectCap && !s.capFits(st, unitWidth) {
 					continue
 				}
 				cost, load := 0.0, 0.0
 				for _, b := range members {
-					cost += costOf(int(b), st)
-					load += loadOf(int(b), st)
+					c, l := costLoad(int(b), st)
+					cost += c
+					load += l
 				}
 				delta := work[st] + load - cur
 				if delta < 0 {
@@ -686,9 +544,6 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 				if !found || score < bestScore {
 					best, bestScore, found = st, score, true
 				}
-			}
-			if found {
-				break
 			}
 		}
 		if !found {
@@ -709,9 +564,10 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		}
 	}
 
-	// Beneficial extra replicas, each addition fully constraint-checked.
-	// Skipped entirely once the cancellation probe fires — they are an
-	// optional improvement, not needed for feasibility.
+	// Beneficial extra replicas: a replica whose combined cost and load
+	// effect is negative always pays off. Each addition is fully
+	// constraint-checked. Skipped entirely once the cancellation probe fires
+	// — they are an optional improvement, not needed for feasibility.
 	for a := 0; a < nA && !rush; a++ {
 		if s.stopped() {
 			break
@@ -719,38 +575,34 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		if g := s.cs.ColocGroupOf(a); g >= 0 && int(s.cs.ColocGroupMembers(g)[0]) != a {
 			continue
 		}
-		members := s.unitMembers(a)
-		var unitWidth int64
-		for _, b := range members {
-			unitWidth += int64(m.Attr(int(b)).Width)
+		// Counting replicas costs a row scan, so only a cap below the site
+		// count, which the sweep could actually reach, is tracked.
+		maxRep := s.replicaCap(a)
+		capped := maxRep < s.sites
+		reps := 0
+		if capped {
+			if reps = p.Replicas(a); reps >= maxRep {
+				continue
+			}
 		}
-		maxRep := s.cs.MaxReplicasOf(a)
+		members := s.unitMembers(a)
+		unitWidth := s.unitWidth(members)
+		restricted := s.restricted(members)
 		for st := 0; st < s.sites; st++ {
 			if p.AttrSites[a][st] {
 				continue
 			}
-			if p.Replicas(a)+1 > maxRep {
+			if capped && reps >= maxRep {
 				break
 			}
-			ok := true
-			for _, b := range members {
-				if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if restricted && !s.unitFits(p, members, st) || !s.capFits(st, unitWidth) {
 				continue
-			}
-			if s.ct.HasCap {
-				if cap := s.ct.SiteCap[st]; cap >= 0 && bytes[st]+unitWidth > cap {
-					continue
-				}
 			}
 			cost, load := 0.0, 0.0
 			for _, b := range members {
-				cost += costOf(int(b), st)
-				load += loadOf(int(b), st)
+				c, l := costLoad(int(b), st)
+				cost += c
+				load += l
 			}
 			delta := work[st] + load - cur
 			if delta < 0 {
@@ -760,6 +612,7 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 				for _, b := range members {
 					place(int(b), st)
 				}
+				reps++
 				if work[st] > cur {
 					cur = work[st]
 				}
@@ -769,8 +622,8 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 }
 
 // scratchSatisfiesConstraints verifies the softer constraints — capacities,
-// separations, replica caps — the constrained greedy pass may have had to
-// relax on its fallback paths. Pins, forbids and colocation hold by
+// separations, replica caps — the greedy y-pass may have had to relax on
+// its fallback paths. Pins, forbids and colocation hold by
 // construction. O(attrs·sites).
 func (s *solver) scratchSatisfiesConstraints(p *core.Partitioning) bool {
 	m := s.m
@@ -807,74 +660,4 @@ func (s *solver) scratchSatisfiesConstraints(p *core.Partitioning) bool {
 		}
 	}
 	return true
-}
-
-// solveYGivenXDisjoint assigns every attribute to exactly one site for a
-// fixed transaction assignment. Attributes read by some transaction follow
-// their readers (all readers share a site in disjoint-feasible assignments);
-// unread attributes go to the cheapest site.
-func (s *solver) solveYGivenXDisjoint(p *core.Partitioning) {
-	m := s.m
-	lam := s.lambda()
-	nA := m.NumAttrs()
-	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			p.AttrSites[a][st] = false
-		}
-	}
-	txnsOn := s.txnsBySite(p)
-	work := s.resetWork()
-	cur := 0.0
-	place := func(a, st int) {
-		p.AttrSites[a][st] = true
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		work[st] += l
-		if work[st] > cur {
-			cur = work[st]
-		}
-	}
-	unread := s.order[:0]
-	for a := 0; a < nA; a++ {
-		if len(s.readersOf[a]) > 0 {
-			place(a, p.TxnSite[s.readersOf[a][0]])
-		} else {
-			unread = append(unread, a)
-		}
-	}
-	s.order = unread
-	// rush: cancellation fired mid-pass — the remaining unread attributes are
-	// dumped on site 0 unscored (they still need exactly one site each).
-	rush := false
-	for _, a := range unread {
-		if !rush && s.stopped() {
-			rush = true
-		}
-		if rush {
-			place(a, 0)
-			continue
-		}
-		best, bestScore := 0, 0.0
-		for st := 0; st < s.sites; st++ {
-			c := m.C2(a)
-			for _, t := range txnsOn[st] {
-				c += m.C1(a, t)
-			}
-			l := m.C4(a)
-			for _, t := range txnsOn[st] {
-				l += m.C3(a, t)
-			}
-			delta := work[st] + l - cur
-			if delta < 0 {
-				delta = 0
-			}
-			score := lam*c + (1-lam)*delta
-			if st == 0 || score < bestScore {
-				best, bestScore = st, score
-			}
-		}
-		place(a, best)
-	}
 }
