@@ -601,6 +601,9 @@ func (m *Model) TxnTerms(t int) []TermCoef { return m.txnTerms[t] }
 
 // AttrTerms returns the transactions with a non-zero c3 or transfer-own
 // coefficient for attribute a (the transpose of TxnTerms; do not modify).
+// The entries are strictly ascending in Txn and list exactly the transactions
+// t with C3(a,t) ≠ 0 or TransferOwn(a,t) ≠ 0, each carrying those two values;
+// fresh compiles and Patch both keep this contract.
 func (m *Model) AttrTerms(a int) []AttrTermCoef { return m.attrTerms[a] }
 
 // C1 returns the quadratic coefficient c1(a,t) of objective (4):

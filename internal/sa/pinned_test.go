@@ -12,7 +12,9 @@ import (
 
 // TestPinnedSolveOutputs pins the balanced cost and the accepted-move count
 // of fixed-seed SA solves to the values recorded before the unconstrained, constrained and disjoint
-// y-given-x greedies were merged into one pass. Unlike the "no worse than"
+// y-given-x greedies were merged into one pass. The write-accounting and
+// penalty/λ variants were recorded on the dense y-pass pricing, before it
+// became a sparse walk of each attribute's term list. Unlike the "no worse than"
 // quality gates it catches any change of the search trajectory, so a
 // refactor of the subproblem solvers or the move loop that claims identical
 // outputs has to keep every case here bit-for-bit (up to float summation
@@ -24,6 +26,14 @@ func TestPinnedSolveOutputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rnd := mustModel(t, rndInst, core.DefaultModelOptions())
+	rndOpts := core.DefaultModelOptions()
+	rndOpts.WriteAccounting = core.WriteNone
+	rndNone := mustModel(t, rndInst, rndOpts)
+	rndOpts.WriteAccounting = core.WriteRelevant
+	rndRelevant := mustModel(t, rndInst, rndOpts)
+	tpOpts := core.DefaultModelOptions()
+	tpOpts.Penalty, tpOpts.Lambda = 2, 0.5
+	tpTuned := mustModel(t, tpcc.Instance(), tpOpts)
 	bigInst, err := randgen.Generate(randgen.ClassA(64, 200, 10), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -53,6 +63,9 @@ func TestPinnedSolveOutputs(t *testing.T) {
 		{"tpcc/3/warm", tp, 3, 2, true, false, 17839.6, 101},
 		{"constrained-tpcc/3", cons, 3, 1, false, false, 17846.8, 378},
 		{"tpcc/3/disjoint", tp, 3, 1, false, true, 48013.2, 454},
+		{"rndAt32x100/4/write-none", rndNone, 4, 1, false, false, 33891.4, 170},
+		{"rndAt32x100/4/write-relevant", rndRelevant, 4, 1, false, false, 44937.8, 144},
+		{"tpcc/3/p2-lambda0.5", tpTuned, 3, 1, false, false, 24852, 196},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

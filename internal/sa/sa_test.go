@@ -448,6 +448,37 @@ func TestPerturbSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
+// TestGreedyPassesSteadyStateAllocationFree pins the scratch reuse of the
+// findSolution step: once warmed up, a y-given-x pass followed by an
+// x-given-y pass must not allocate, on the grouped rndAt64x200 model Solve
+// hands to SA and on the all-kinds constrained TPC-C.
+func TestGreedyPassesSteadyStateAllocationFree(t *testing.T) {
+	cons, _ := constrainedTPCC(t)
+	cases := []struct {
+		name  string
+		m     *core.Model
+		sites int
+	}{
+		{"rndAt64x200-grouped/8", groupedRndAt64x200(t), 8},
+		{"constrained-tpcc/3", cons, 3},
+	}
+	for _, tc := range cases {
+		s := newSolver(tc.m, DefaultOptions(tc.sites))
+		p := core.NewPartitioning(tc.m.NumTxns(), tc.m.NumAttrs(), tc.sites)
+		s.randomX(rand.New(rand.NewSource(1)), p)
+		pass := func() {
+			s.solveYGivenX(p)
+			s.solveXGivenY(p)
+		}
+		for i := 0; i < 5; i++ { // warm up buffer capacities
+			pass()
+		}
+		if allocs := testing.AllocsPerRun(20, pass); allocs != 0 {
+			t.Errorf("%s: y+x pass allocates %.1f objects per run", tc.name, allocs)
+		}
+	}
+}
+
 // TestSolveDisjointMultiComponent runs disjoint mode on an instance whose
 // transactions fall into several read-sharing components. On TPC-C every
 // transaction lands in one component, so only an instance like this one

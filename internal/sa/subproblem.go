@@ -21,6 +21,9 @@ type solver struct {
 	// lpt lists every attribute by decreasing C4+C2 weight, ties by index:
 	// the order in which the greedy y-pass covers unplaced attributes.
 	lpt []int
+	// txnOrder lists every transaction by decreasing read weight ΣC3, ties
+	// by index: the order in which the greedy x-pass places transactions.
+	txnOrder []int
 	// components groups transactions that transitively share read
 	// attributes. Only the disjoint-mode moves (perturb, randomX) use them:
 	// without replication a component's members must share a site, so
@@ -45,13 +48,16 @@ type solver struct {
 	scratch  *core.Partitioning // intensify's findSolution target
 	batch    core.MoveBatch     // intensify's diffed move batch
 	missing  []int              // perturb: candidate sites for a new replica
-	txnsOn   [][]int            // greedy passes: transactions per site
 	work     []float64          // greedy passes: running site work
-	order    []int              // greedy passes: processing order
-	weights  []float64          // greedy passes: ordering weights
+	order    []int              // y-pass: units still to cover, in LPT order
 	bytes    []int64            // greedy passes: running site bytes (capacities only)
 	dragBuf  []int              // perturb: pending additions of one txn move
 	unitSelf [1]int32           // unitMembers' singleton backing (no alloc)
+	// y-pass prices for the current x: row a of attrCost/attrLoad (attrs ×
+	// sites, flattened) holds attribute a's marginal cost and load on every
+	// site; unitCost/unitLoad hold a colocation group's per-site sums.
+	attrCost, attrLoad []float64
+	unitCost, unitLoad []float64
 
 	// stop, when non-nil, reports whether the run's cancellation facility
 	// (deadline or context) has fired. The greedy passes consult it through
@@ -80,7 +86,6 @@ func (s *solver) stopped() bool {
 
 func newSolver(m *core.Model, opts Options) *solver {
 	s := &solver{m: m, sites: opts.Sites, opts: opts}
-	s.txnsOn = make([][]int, s.sites)
 	s.work = make([]float64, s.sites)
 	s.bytes = make([]int64, s.sites)
 	s.cs = m.Constraints()
@@ -102,6 +107,25 @@ func newSolver(m *core.Model, opts Options) *solver {
 		}
 		return ai < aj
 	})
+	weights := make([]float64, nT)
+	s.txnOrder = make([]int, nT)
+	for t := range s.txnOrder {
+		s.txnOrder[t] = t
+		for _, tc := range m.TxnTerms(t) {
+			weights[t] += tc.C3
+		}
+	}
+	sort.Slice(s.txnOrder, func(i, j int) bool {
+		ti, tj := s.txnOrder[i], s.txnOrder[j]
+		if weights[ti] != weights[tj] {
+			return weights[ti] > weights[tj]
+		}
+		return ti < tj
+	})
+	s.attrCost = make([]float64, nA*s.sites)
+	s.attrLoad = make([]float64, nA*s.sites)
+	s.unitCost = make([]float64, s.sites)
+	s.unitLoad = make([]float64, s.sites)
 	s.readersOf = make([][]int, nA)
 	for t := 0; t < nT; t++ {
 		for _, a := range m.TxnReadAttrs(t) {
@@ -146,17 +170,6 @@ func newSolver(m *core.Model, opts Options) *solver {
 		}
 	}
 	return s
-}
-
-// txnsBySite fills the reusable per-site transaction lists for p.
-func (s *solver) txnsBySite(p *core.Partitioning) [][]int {
-	for st := range s.txnsOn {
-		s.txnsOn[st] = s.txnsOn[st][:0]
-	}
-	for t, st := range p.TxnSite {
-		s.txnsOn[st] = append(s.txnsOn[st], t)
-	}
-	return s.txnsOn
 }
 
 // resetWork zeroes and returns the reusable per-site work accumulator.
@@ -212,33 +225,14 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		return true
 	}
 
-	// Order transactions by decreasing read weight so heavy transactions are
-	// placed while sites are still balanced.
-	order := s.order[:0]
-	weights := s.weights[:0]
-	for t := 0; t < m.NumTxns(); t++ {
-		order = append(order, t)
-		w := 0.0
-		for _, tc := range m.TxnTerms(t) {
-			w += tc.C3
-		}
-		weights = append(weights, w)
-	}
-	s.order, s.weights = order, weights
-	sort.Slice(order, func(i, j int) bool {
-		if weights[order[i]] != weights[order[j]] {
-			return weights[order[i]] > weights[order[j]]
-		}
-		return order[i] < order[j]
-	})
-
 	cur := 0.0
 	for _, w := range work {
 		if w > cur {
 			cur = w
 		}
 	}
-	for _, t := range order {
+	// Heavy transactions go first, while sites are still balanced.
+	for _, t := range s.txnOrder {
 		// Cancellation mid-pass: the remaining transactions simply keep their
 		// current (feasible) sites.
 		if s.stopped() {
@@ -369,6 +363,73 @@ func (s *solver) capFits(st int, width int64) bool {
 	return cap < 0 || s.bytes[st]+width <= cap
 }
 
+// priceAttrs fills attrCost and attrLoad for the transaction assignment
+// p.TxnSite: row a holds the marginal objective-(4) cost
+// C2(a) + Σ_{t on st} C1(a,t) and the load C4(a) + Σ_{t on st} C3(a,t) of
+// storing attribute a on each site st. One walk of a's sparse term list
+// prices every site. AttrTerms lists exactly the transactions with a non-zero
+// C3 or TransferOwn, in ascending order, so each site's sum is bit for bit
+// the dense sum over the site's transactions in index order.
+//
+//vpart:noalloc
+func (s *solver) priceAttrs(p *core.Partitioning) {
+	m := s.m
+	pen := m.Options().Penalty
+	for a := 0; a < m.NumAttrs(); a++ {
+		row := a * s.sites
+		cost := s.attrCost[row : row+s.sites]
+		load := s.attrLoad[row : row+s.sites]
+		c2, c4 := m.C2(a), m.C4(a)
+		for st := range cost {
+			cost[st], load[st] = c2, c4
+		}
+		for _, tc := range m.AttrTerms(a) {
+			st := p.TxnSite[tc.Txn]
+			cost[st] += tc.C3 - pen*tc.Xfer
+			load[st] += tc.C3
+		}
+	}
+}
+
+// unitPrice returns the per-site cost and load of a placement unit under the
+// prices of the last priceAttrs: a single attribute's own row, or the sums
+// over a colocation group's members in member order. The slices must not be
+// modified and are valid until the next unitPrice call.
+//
+//vpart:noalloc
+func (s *solver) unitPrice(members []int32) (cost, load []float64) {
+	if len(members) == 1 {
+		row := int(members[0]) * s.sites
+		return s.attrCost[row : row+s.sites], s.attrLoad[row : row+s.sites]
+	}
+	for st := range s.unitCost {
+		s.unitCost[st], s.unitLoad[st] = 0, 0
+	}
+	for _, b := range members {
+		row := int(b) * s.sites
+		for st := range s.unitCost {
+			s.unitCost[st] += s.attrCost[row+st]
+			s.unitLoad[st] += s.attrLoad[row+st]
+		}
+	}
+	return s.unitCost, s.unitLoad
+}
+
+// place stores attribute a on site st, charging its priced load to the
+// site's work (and its width to the site's bytes when some site is capped).
+//
+//vpart:noalloc
+func (s *solver) place(p *core.Partitioning, a, st int) {
+	if p.AttrSites[a][st] {
+		return
+	}
+	p.AttrSites[a][st] = true
+	s.work[st] += s.attrLoad[a*s.sites+st]
+	if s.ct.HasCap {
+		s.bytes[st] += int64(s.m.Attr(a).Width)
+	}
+}
+
 // solveYGivenX computes an attribute assignment for the fixed transaction
 // assignment, writing it into p.AttrSites. Hard placements come first:
 // single-sitedness of reads (forced replicas), required sites, and the
@@ -392,41 +453,14 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 	}
 
-	// Marginal objective-(4) cost of placing attribute a on site st,
-	// C2(a) + Σ_{t on st} C1(a,t), and its load C4(a) + Σ_{t on st} C3(a,t),
-	// summed in one walk over the site's transactions. Build the per-site
-	// transaction lists once.
-	txnsOn := s.txnsBySite(p)
-	costLoad := func(a, st int) (c, l float64) {
-		c, l = m.C2(a), m.C4(a)
-		for _, t := range txnsOn[st] {
-			c += m.C1(a, t)
-			l += m.C3(a, t)
-		}
-		return c, l
-	}
-	loadOf := func(a, st int) float64 {
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		return l
-	}
+	// Every attribute's cost and load on every site depend on x alone, so
+	// they are priced once up front; every placement below reads them.
+	s.priceAttrs(p)
 
 	// Site byte usage is tracked only when some site has a capacity.
 	work := s.resetWork()
 	bytes := s.resetBytes()
 	hasCap := s.ct.HasCap
-	place := func(a, st int) {
-		if p.AttrSites[a][st] {
-			return
-		}
-		p.AttrSites[a][st] = true
-		work[st] += loadOf(a, st)
-		if hasCap {
-			bytes[st] += int64(m.Attr(a).Width)
-		}
-	}
 
 	// Hard placements: single-sitedness of reads, required sites, then the
 	// colocation closure of both. They are marked first and charged to the
@@ -466,9 +500,10 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 	}
 	for a := 0; a < nA; a++ {
+		load := s.attrLoad[a*s.sites : (a+1)*s.sites]
 		for st := 0; st < s.sites; st++ {
 			if p.AttrSites[a][st] {
-				work[st] += loadOf(a, st)
+				work[st] += load[st]
 				if hasCap {
 					bytes[st] += int64(m.Attr(a).Width)
 				}
@@ -513,7 +548,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 				best = 0
 			}
 			for _, b := range s.unitMembers(a) {
-				place(int(b), best)
+				s.place(p, int(b), best)
 			}
 			if work[best] > cur {
 				cur = work[best]
@@ -523,6 +558,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		members := s.unitMembers(a)
 		unitWidth := s.unitWidth(members)
 		restricted := s.restricted(members)
+		cost, load := s.unitPrice(members)
 		best, bestScore, found := -1, 0.0, false
 		for pass := 0; pass < 2 && !found; pass++ {
 			respectCap := pass == 0
@@ -530,17 +566,11 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 				if restricted && !s.unitFits(p, members, st) || respectCap && !s.capFits(st, unitWidth) {
 					continue
 				}
-				cost, load := 0.0, 0.0
-				for _, b := range members {
-					c, l := costLoad(int(b), st)
-					cost += c
-					load += l
-				}
-				delta := work[st] + load - cur
+				delta := work[st] + load[st] - cur
 				if delta < 0 {
 					delta = 0
 				}
-				score := lam*cost + (1-lam)*delta
+				score := lam*cost[st] + (1-lam)*delta
 				if !found || score < bestScore {
 					best, bestScore, found = st, score, true
 				}
@@ -557,7 +587,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 			}
 		}
 		for _, b := range members {
-			place(int(b), best)
+			s.place(p, int(b), best)
 		}
 		if work[best] > cur {
 			cur = work[best]
@@ -588,6 +618,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		members := s.unitMembers(a)
 		unitWidth := s.unitWidth(members)
 		restricted := s.restricted(members)
+		cost, load := s.unitPrice(members)
 		for st := 0; st < s.sites; st++ {
 			if p.AttrSites[a][st] {
 				continue
@@ -598,19 +629,13 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 			if restricted && !s.unitFits(p, members, st) || !s.capFits(st, unitWidth) {
 				continue
 			}
-			cost, load := 0.0, 0.0
-			for _, b := range members {
-				c, l := costLoad(int(b), st)
-				cost += c
-				load += l
-			}
-			delta := work[st] + load - cur
+			delta := work[st] + load[st] - cur
 			if delta < 0 {
 				delta = 0
 			}
-			if lam*cost+(1-lam)*delta < 0 {
+			if lam*cost[st]+(1-lam)*delta < 0 {
 				for _, b := range members {
-					place(int(b), st)
+					s.place(p, int(b), st)
 				}
 				reps++
 				if work[st] > cur {
