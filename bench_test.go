@@ -3,8 +3,7 @@ package vpart_test
 // Benchmarks, one per table of the paper's evaluation (Section 5) plus
 // ablation and micro benchmarks. The table benchmarks run the experiment
 // harness in its quick configuration; the full configuration is available
-// through cmd/vpart-experiments (see EXPERIMENTS.md for measured results and
-// the comparison against the paper).
+// through go run ./cmd/vpart-experiments.
 
 import (
 	"context"

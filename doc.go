@@ -65,10 +65,10 @@
 // ladder coverage but not wall-clock. K=4 (default) suits up to ~8 cores;
 // K=8 widens the temperature range for rugged instances with many cores to
 // spare; K=1 degenerates to plain "sa". Quality at a fixed seed tracks
-// monolithic SA within a few percent either way (BENCH_parallel.json gates
-// ±3 %) — the ladder's payoff is robustness across seeds, not a uniformly
-// lower fixed-seed cost. Throughput scaling across GOMAXPROCS is measured
-// by `go run ./cmd/vpart-bench -parallel`.
+// monolithic SA within a few percent either way (the internal/sapar tests
+// gate ±3 %) — the ladder's payoff is robustness across seeds, not a
+// uniformly lower fixed-seed cost. Throughput scaling across GOMAXPROCS is
+// measured by internal/sapar's BenchmarkSolve run with -cpu 1,2,4,8.
 //
 // # Preprocessing: reasonable cuts and decomposition
 //
@@ -99,7 +99,8 @@
 // the same pipeline: each shard is solved by Options.Solver. Besides the
 // concurrency, every SA shard works on a strictly smaller move space, which
 // tends to both speed up the solve and improve the solution on decomposable
-// workloads (see BENCH_decompose.json and examples/decompose).
+// workloads (see examples/decompose and the decomposition ablation of
+// cmd/vpart-experiments).
 //
 // # Cost evaluation, full and incremental
 //
@@ -155,9 +156,8 @@
 // the incumbent cost trajectory. Adopt installs an externally computed
 // solution as the warm anchor (a one-off high-effort portfolio run, or a
 // persisted layout after a restart). Drift generates deterministic drift
-// traces; cmd/vpart-bench -online replays one and shows warm re-solving
-// tracking below the cold-solve cost at a fraction of its wall clock (see
-// BENCH_online.json and examples/online).
+// traces; examples/online replays one, and the package tests gate warm
+// re-solving at or below the cold-solve cost at every step of one.
 //
 // # Ingesting a live workload
 //
@@ -187,10 +187,10 @@
 // a fixed seed and shard count produce bit-identical sessions at any
 // GOMAXPROCS. randgen provides two synthetic event-stream families for
 // testing and benchmarks (NewYCSB, NewSocial), internal/ingest defines a
-// replayable, epoch-seekable binary trace format for captured streams, and
-// cmd/vpart-bench -ingest measures the layer end to end (BENCH_ingest.json:
-// ~10M events/sec single-core, ~27× smaller than exact counting at a
-// 1M-shape universe, sketch-folded solved cost within 5 % of exact).
+// replayable, epoch-seekable binary trace format for captured streams. Tests
+// gate the layer's two claims: state at least 10× smaller than exact
+// counting on a 2^20-shape universe, and a sketch-folded solved cost within
+// 5 % of exact.
 // vpartd exposes the same path over HTTP — see "Running as a daemon".
 //
 // # Placement constraints
@@ -311,11 +311,10 @@
 // scripted failures (site loss, flash crowd, capacity shrink, drift burst),
 // and measures the realized cost of the re-solved layouts against a frozen
 // stale control layout — deterministic given the spec, so fixed-seed runs
-// are bit-identical. go run ./cmd/vpart-bench -scenarios writes the gated
-// BENCH_scenarios.json report.
+// are bit-identical.
 //
 // The experiment harness that regenerates every table of the paper lives in
-// cmd/vpart-experiments; see EXPERIMENTS.md for the measured results.
+// cmd/vpart-experiments: go run ./cmd/vpart-experiments.
 //
 // # Invariants
 //

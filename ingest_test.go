@@ -2,6 +2,7 @@ package vpart_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -132,5 +133,66 @@ func TestIngestorBreaksOnBadEvents(t *testing.T) {
 	}
 	if _, _, err := sess.Resolve(context.Background()); err != nil {
 		t.Fatalf("session unusable after ingestor broke: %v", err)
+	}
+}
+
+// TestIngestSketchCostNearExact folds one zipfian YCSB stream into two
+// sessions: through sketches tracking a quarter of the shapes, and through
+// an exact-counting configuration (top-k wider than the universe, a wide
+// sketch, every frequency change re-emitted). The warm re-solved costs must
+// agree within 5 %: on 2000 shapes and 2^16 events and, unless -short, on
+// 4000 shapes and 2^18 events.
+func TestIngestSketchCostNearExact(t *testing.T) {
+	ctx := context.Background()
+	foldAndSolve := func(shapes, events int, cfg vpart.IngestConfig) float64 {
+		t.Helper()
+		stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: shapes}, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := vpart.NewSession(stream.Base(), vpart.Options{Sites: 4, Solver: "sa", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.Resolve(ctx); err != nil {
+			t.Fatal(err)
+		}
+		ing, err := sess.NewIngestor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ing.Close()
+		batch := make([]vpart.QueryEvent, 8192)
+		for done := 0; done < events; done += len(batch) {
+			stream.Fill(batch)
+			if _, err := ing.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := ing.FlushEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		sol, _, err := sess.Resolve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol.Cost.Balanced
+	}
+	for _, tc := range []struct{ shapes, events int }{{2000, 1 << 16}, {4000, 1 << 18}} {
+		if tc.shapes > 2000 && testing.Short() {
+			continue
+		}
+		sketch := foldAndSolve(tc.shapes, tc.events, vpart.IngestConfig{
+			Shards: 1, EpochEvents: 1 << 30, TopK: tc.shapes / 4,
+			SketchWidth: 1 << 15, SketchDepth: 4, ScaleTol: 0.2,
+		})
+		exact := foldAndSolve(tc.shapes, tc.events, vpart.IngestConfig{
+			Shards: 1, EpochEvents: 1 << 30, TopK: 2 * tc.shapes,
+			SketchWidth: 1 << 18, SketchDepth: 4, ScaleTol: 1e-9,
+		})
+		if gap := math.Abs(sketch-exact) / exact; gap > 0.05 {
+			t.Errorf("%d shapes: sketch-folded cost %.6g is %.2f%% off the exact-count cost %.6g",
+				tc.shapes, sketch, 100*gap, exact)
+		}
 	}
 }

@@ -285,6 +285,42 @@ func TestEvaluatorTPCCMatchesEvaluate(t *testing.T) {
 	costsMatch(t, "tpcc final", e.Cost(), m.Evaluate(e.Partitioning()), 1e-6)
 }
 
+// costSink keeps benchmarked evaluations from being optimised away.
+var costSink core.Cost
+
+// TestEvaluatorApplyFasterThanEvaluate: a MoveTxn apply+undo round trip
+// (the SA loop's reject path) must beat a full Evaluate of the same layout,
+// timed in the same run, on TPC-C at 3 sites and rndAt64x200 at 8.
+func TestEvaluatorApplyFasterThanEvaluate(t *testing.T) {
+	rnd, err := randgen.Generate(randgen.ClassA(64, 200, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nsPerOp := func(op func(i int)) int64 {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				op(i)
+			}
+		}).NsPerOp()
+	}
+	for sites, inst := range map[int]*core.Instance{3: tpcc.Instance(), 8: rnd} {
+		m, err := core.NewModel(inst, core.DefaultModelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := core.FullReplication(m, sites)
+		e, err := core.NewEvaluator(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evaluate := nsPerOp(func(int) { costSink = m.Evaluate(p) })
+		apply := nsPerOp(func(i int) { e.ApplyMoveTxn(i%m.NumTxns(), (i+1)%sites); e.Undo() })
+		if apply >= evaluate {
+			t.Errorf("%d sites: apply+undo %d ns/op not below Evaluate %d ns/op", sites, apply, evaluate)
+		}
+	}
+}
+
 func TestNewEvaluatorRejectsBadDimensions(t *testing.T) {
 	m, err := core.NewModel(tpcc.Instance(), core.DefaultModelOptions())
 	if err != nil {

@@ -184,6 +184,10 @@ func TestHTTPBadRequests(t *testing.T) {
 	if code := do(t, "POST", ts.URL+"/v1/sessions", createBody(t, "x", inst, SessionOptions{}, nil), &errResp); code != http.StatusBadRequest {
 		t.Fatalf("sites=0 create: status %d", code)
 	}
+	// A solver no resolve could run.
+	if code := do(t, "POST", ts.URL+"/v1/sessions", createBody(t, "x", inst, SessionOptions{Sites: 2, Solver: "nope"}, nil), &errResp); code != http.StatusBadRequest {
+		t.Fatalf("solver=nope create: status %d", code)
+	}
 	// Delta for an unknown session.
 	if code := do(t, "POST", ts.URL+"/v1/sessions/ghost/deltas", []byte(`{"ops":[]}`), &errResp); code != http.StatusNotFound {
 		t.Fatalf("delta to unknown session: status %d", code)

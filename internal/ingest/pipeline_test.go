@@ -253,3 +253,66 @@ func TestIngestSteadyStateNoAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStateSmallerThanExactCounting folds 2M zipfian events over 2^20 YCSB
+// shapes through the default pipeline and into an exact map retaining every
+// distinct shape (sized on the heap); the pipeline state must be ≥10× smaller.
+func TestStateSmallerThanExactCounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2M-event fold")
+	}
+	fold := func(each func([]ingest.Event)) *randgen.EventStream {
+		stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: 1 << 20}, 11)
+		if err != nil {
+			t.Fatalf("NewYCSB: %v", err)
+		}
+		batch := make([]ingest.Event, 8192)
+		for done := 0; each != nil && done < 2_000_000; done += len(batch) {
+			stream.Fill(batch)
+			each(batch)
+		}
+		return stream
+	}
+	pipe, err := ingest.New(fold(nil).Base(), ingest.DefaultConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer pipe.Close()
+	fold(func(b []ingest.Event) {
+		if _, err := pipe.Ingest(b); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+	})
+
+	type exactShape struct {
+		ev    ingest.Event
+		count uint64
+	}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	exact := make(map[string]*exactShape)
+	fold(func(b []ingest.Event) {
+		for i := range b {
+			key := b[i].Txn + "\x00" + b[i].Query
+			if e := exact[key]; e != nil {
+				e.count++
+				continue
+			}
+			ev := b[i]
+			ev.Accesses = append([]core.TableAccess(nil), ev.Accesses...)
+			for j := range ev.Accesses {
+				ev.Accesses[j].Attributes = append([]string(nil), ev.Accesses[j].Attributes...)
+			}
+			exact[key] = &exactShape{ev: ev, count: 1}
+		}
+	})
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	exactBytes := int64(m1.HeapAlloc) - int64(m0.HeapAlloc)
+	runtime.KeepAlive(exact)
+	if state := int64(pipe.Stats().StateBytes); exactBytes < 10*state {
+		t.Fatalf("ingest state %d bytes, exact counting of %d shapes %d bytes: ratio %.1f < 10",
+			state, len(exact), exactBytes, float64(exactBytes)/float64(state))
+	}
+}

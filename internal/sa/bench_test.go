@@ -118,7 +118,7 @@ func BenchmarkEvaluateNeighbourhoodMove(b *testing.B) {
 
 // BenchmarkSolveRndAt64x200 measures a full SA solve of the paper's largest
 // random instance family — the headline workload of the incremental
-// evaluator refactor (see BENCH_evaluator.json for the tracked numbers).
+// evaluator refactor.
 func BenchmarkSolveRndAt64x200(b *testing.B) {
 	inst, err := randgen.Generate(randgen.ClassA(64, 200, 10), 1)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -73,23 +74,66 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSolveDeterministicAcrossBudgets pins the stronger property: the
-// concurrency budget (including full serialisation at cap 1) changes only
-// wall-clock, never the result.
-func TestSolveDeterministicAcrossBudgets(t *testing.T) {
-	m := testModel(t)
-	base, err := Solve(context.Background(), m, testOptions(nil))
+// benchInstance compiles rndAt{tables}x{txns} and returns it with seed-1
+// options running one replica per site: the scaling benchmark's setup.
+func benchInstance(tb testing.TB, tables, txns, sites int) (*core.Model, Options) {
+	tb.Helper()
+	inst, err := randgen.Generate(randgen.ClassA(tables, txns, 10), 1)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	want := fingerprint(base)
-	for _, cap := range []int{1, 2, 8} {
-		res, err := Solve(context.Background(), m, testOptions(conc.NewBudget(cap)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(res); got != want {
-			t.Fatalf("budget cap %d diverged:\n got %s\nwant %s", cap, got, want)
+	m, err := core.NewModel(inst, core.DefaultModelOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	o := sa.DefaultOptions(sites)
+	o.Seed = 1
+	return m, Options{SA: o, Replicas: sites}
+}
+
+// benchCase pairs a configuration with GOMAXPROCS settings, each run with a
+// matching budget cap (0: nil budget, GOMAXPROCS untouched).
+type benchCase struct {
+	m     *core.Model
+	opts  Options
+	procs []int
+}
+
+// benchCases are the test model plus the scaling benchmark's rndAt16x60 on
+// 4 sites and, unless -short, rndAt64x200 on 8 sites.
+func benchCases(t *testing.T) []benchCase {
+	cases := []benchCase{{testModel(t), testOptions(nil), []int{0, 1, 2, 8}}}
+	m, o := benchInstance(t, 16, 60, 4)
+	cases = append(cases, benchCase{m, o, []int{1, 2}})
+	if !testing.Short() {
+		m, o = benchInstance(t, 64, 200, 8)
+		cases = append(cases, benchCase{m, o, []int{1, 2, 4, 8}})
+	}
+	return cases
+}
+
+// TestSolveDeterministicAcrossBudgets pins the stronger property: GOMAXPROCS
+// and the concurrency budget (including full serialisation at cap 1) change
+// only wall-clock, never the result.
+func TestSolveDeterministicAcrossBudgets(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for n, c := range benchCases(t) {
+		var want string
+		for i, p := range c.procs {
+			opts := c.opts
+			if p > 0 {
+				runtime.GOMAXPROCS(p)
+				opts.Budget = conc.NewBudget(p)
+			}
+			res, err := Solve(context.Background(), c.m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprint(res); i == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("case %d: %d procs diverged:\n got %s\nwant %s", n, p, got, want)
+			}
 		}
 	}
 }
@@ -135,31 +179,50 @@ func TestSolveSingleReplicaMatchesSA(t *testing.T) {
 	}
 }
 
-// TestSolveNotWorseThanWorstCase: the population's polished best must be
-// feasible and at least as good as a plain single-seed SA run is — allowing a
-// tiny epsilon — because replica 0 alone explores at the monolithic schedule
-// and exchanges can only improve incumbents. (Deterministic: fixed seeds.)
+// TestSolveQualityReasonable: the population's polished best must be
+// feasible and cost at most 3 % more than a plain SA run at the same seed,
+// because replica 0 alone explores at the monolithic schedule and exchanges
+// can only improve incumbents. (Deterministic: fixed seeds.)
 func TestSolveQualityReasonable(t *testing.T) {
-	m := testModel(t)
-	res, err := Solve(context.Background(), m, testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
+	for n, c := range benchCases(t) {
+		res, err := Solve(context.Background(), c.m, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Partitioning.Validate(c.m); err != nil {
+			t.Fatalf("case %d: infeasible result: %v", n, err)
+		}
+		mono, err := sa.Solve(context.Background(), c.m, c.opts.SA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cost.Balanced > mono.Cost.Balanced*1.03+1e-9 {
+			t.Fatalf("case %d: sa-par cost %g more than 3%% above monolithic SA %g",
+				n, res.Cost.Balanced, mono.Cost.Balanced)
+		}
+		if res.Iterations <= mono.Iterations {
+			t.Fatalf("case %d: population iterations %d not above a single chain's %d",
+				n, res.Iterations, mono.Iterations)
+		}
 	}
-	if err := res.Partitioning.Validate(m); err != nil {
-		t.Fatalf("infeasible result: %v", err)
+}
+
+// BenchmarkSolve times a fixed-seed sa-par solve of rndAt64x200 on 8 sites
+// under a GOMAXPROCS-slot budget. With -cpu 1,2,4,8 it is the scaling sweep:
+// the iteration count is fixed, so iters/s ratios are the parallel speedup.
+func BenchmarkSolve(b *testing.B) {
+	m, opts := benchInstance(b, 64, 200, 8)
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Budget = conc.NewBudget(runtime.GOMAXPROCS(0))
+		res, err := Solve(context.Background(), m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += res.Iterations
 	}
-	mono, err := sa.Solve(context.Background(), m, testOptions(nil).SA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Balanced > mono.Cost.Balanced*1.03+1e-9 {
-		t.Fatalf("sa-par cost %g more than 3%% above monolithic SA %g",
-			res.Cost.Balanced, mono.Cost.Balanced)
-	}
-	if res.Iterations <= mono.Iterations {
-		t.Fatalf("population iterations %d not above a single chain's %d",
-			res.Iterations, mono.Iterations)
-	}
+	b.ReportMetric(float64(iters)/b.Elapsed().Seconds(), "iters/s")
 }
 
 // TestSolveWarmStart threads Options.SA.Initial through every replica.

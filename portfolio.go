@@ -14,8 +14,9 @@ import (
 const DefaultPortfolioSASeeds = 4
 
 // PortfolioOptions configure the "portfolio" solver, which races several
-// independently seeded SA runs — and optionally the exact QP solver — as
-// concurrent goroutines and returns the best incumbent.
+// independently seeded SA runs, one sa-par run (unless SAPar is negative)
+// and optionally the exact QP solver as concurrent goroutines and returns
+// the best incumbent.
 type PortfolioOptions struct {
 	// SASeeds is the number of concurrent SA runs (default
 	// DefaultPortfolioSASeeds). Run i uses seed base+i, where base is
@@ -41,7 +42,8 @@ type PortfolioOptions struct {
 }
 
 // portfolioSolver implements the Solver interface on top of the registry: it
-// looks up the "sa" (and optionally "qp") solvers and runs them concurrently.
+// looks up the "sa" and "sa-par" (and optionally "qp") solvers and runs them
+// concurrently.
 type portfolioSolver struct{}
 
 func (portfolioSolver) Name() string { return "portfolio" }

@@ -76,3 +76,58 @@ func TestRunScenarioSiteLossEndToEnd(t *testing.T) {
 		t.Fatal("two fixed-seed runs produced different fingerprints")
 	}
 }
+
+// TestScenarioSuite runs one scenario per failure kind, each twice: the runs
+// must fingerprint bit-identically, and the advisor's realized post-failure
+// cost must not exceed the stale layout's. The full size skips under -short.
+func TestScenarioSuite(t *testing.T) {
+	for _, full := range []bool{false, true} {
+		if full && testing.Short() {
+			continue
+		}
+		epochs, events, burst := 6, 8000, 4
+		if full {
+			epochs, events, burst = 8, 20000, 6
+		}
+		for _, spec := range []vpart.ScenarioSpec{
+			{
+				Name: "site-loss-ycsb", Traffic: vpart.ScenarioTrafficYCSB,
+				Seed: 42, Sites: 4, Epochs: epochs, EventsPerEpoch: events, Shapes: 4096,
+				Actions: []vpart.ScenarioAction{{Kind: vpart.ScenarioSiteLoss, Epoch: 3, Site: 1}},
+			},
+			{ // a spike on the single-table ycsb stream barely moves the optimum
+				Name: "flash-crowd-social", Traffic: vpart.ScenarioTrafficSocial,
+				Seed: 43, Sites: 4, Epochs: epochs, EventsPerEpoch: events, Shapes: 4096,
+				Actions: []vpart.ScenarioAction{{Kind: vpart.ScenarioFlashCrowd, Epoch: 3, Magnitude: 0.7, Keys: 8, Duration: 3}},
+			},
+			{ // the social schema is 592 bytes wide: 300 forces an eviction
+				Name: "capacity-shrink-social", Traffic: vpart.ScenarioTrafficSocial,
+				Seed: 44, Sites: 4, Epochs: epochs, EventsPerEpoch: events, Shapes: 4096,
+				Actions: []vpart.ScenarioAction{{Kind: vpart.ScenarioCapacityShrink, Epoch: 3, Site: 0, Bytes: 300}},
+			},
+			{
+				Name: "drift-burst", Traffic: vpart.ScenarioTrafficDrift,
+				Seed: 45, Sites: 4, Epochs: epochs,
+				Actions: []vpart.ScenarioAction{{Kind: vpart.ScenarioDriftBurst, Epoch: 3, Steps: burst}},
+			},
+		} {
+			var fp [2]string
+			var res *vpart.ScenarioResult
+			for r := range fp {
+				var err error
+				res, err = vpart.RunScenario(context.Background(), spec, vpart.Options{Solver: "sa", Seed: spec.Seed})
+				if err != nil {
+					t.Fatalf("%s: %v", spec.Name, err)
+				}
+				fp[r] = res.Fingerprint()
+			}
+			if fp[0] != fp[1] {
+				t.Errorf("%s (full=%v): two runs fingerprint %s and %s", spec.Name, full, fp[0], fp[1])
+			}
+			if res.FirstActionEpoch >= 0 && res.CumAdvisorPost > res.CumStalePost {
+				t.Errorf("%s (full=%v): advisor realized %.6g bytes after the failure, stale layout %.6g",
+					spec.Name, full, res.CumAdvisorPost, res.CumStalePost)
+			}
+		}
+	}
+}

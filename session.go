@@ -159,33 +159,22 @@ func NewSession(inst *Instance, opts Options) (*Session, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("vpart: session: nil instance")
 	}
-	if opts.Sites < 1 {
-		return nil, fmt.Errorf("vpart: session: invalid site count %d", opts.Sites)
-	}
 	if opts.Warm != nil || opts.WarmDirty != nil {
 		return nil, fmt.Errorf("vpart: session: Options.Warm and Options.WarmDirty are session-managed; leave them unset")
 	}
-	mo := DefaultModelOptions()
-	if opts.Model != nil {
-		mo = *opts.Model
+	// Reject up front what every Resolve would reject. The session keeps the
+	// caller's options (Resolve re-resolves them per solve), with the
+	// constraint set swapped for the validated snapshot: the session
+	// recompiles it on every Apply, so a caller mutating their value later
+	// must not change what the session enforces.
+	r, err := resolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Constraints.Empty() {
-		opts.Constraints = nil
-	} else {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("vpart: session: placement constraints are not supported together with Disjoint")
-		}
-		if err := opts.Constraints.Validate(); err != nil {
-			return nil, fmt.Errorf("vpart: session: %w", err)
-		}
-		// Snapshot the set: the session recompiles it on every Apply, so a
-		// caller mutating their value later must not change what the session
-		// enforces.
-		opts.Constraints = opts.Constraints.Clone()
-	}
+	opts.Constraints = r.opts.Constraints
 	// The session's model carries the compiled constraints, so Apply keeps
 	// them resolved across deltas and Adopt can judge anchors against them.
-	model, err := core.NewModelConstrained(inst, mo, opts.Constraints)
+	model, err := core.NewModelConstrained(inst, r.model, opts.Constraints)
 	if err != nil {
 		return nil, err
 	}
@@ -303,22 +292,14 @@ func (s *Session) Apply(delta WorkloadDelta) error {
 func (s *Session) UpdateConstraints(cons *Constraints) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cons.Empty() {
-		cons = nil
-	} else {
-		if s.opts.Disjoint {
-			return fmt.Errorf("vpart: session: placement constraints are not supported together with Disjoint")
-		}
-		if err := cons.Validate(); err != nil {
-			return fmt.Errorf("vpart: session: %w", err)
-		}
-		cons = cons.Clone()
+	opts := s.opts
+	opts.Constraints = cons
+	r, err := resolveOptions(opts)
+	if err != nil {
+		return err
 	}
-	mo := DefaultModelOptions()
-	if s.opts.Model != nil {
-		mo = *s.opts.Model
-	}
-	model, err := core.NewModelConstrained(s.inst, mo, cons)
+	cons = r.opts.Constraints
+	model, err := core.NewModelConstrained(s.inst, r.model, cons)
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}

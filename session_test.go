@@ -126,6 +126,68 @@ func TestSessionApplyResolveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSessionWarmNoCostlierThanCold replays a drift trace through a session
+// anchored on a portfolio solve. At every step the warm Resolve must cost no
+// more than a cold SA Solve from scratch: at all on rndAt16x60, within 1 % on
+// rndAt64x200 (skipped under -short, replayed twice to repeat exactly).
+func TestSessionWarmNoCostlierThanCold(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		tables, txns, sites, steps, runs int
+		tol                              float64
+	}{{16, 60, 4, 5, 1, 1 + 1e-9}, {64, 200, 8, 10, 2, 1.01}} {
+		if tc.runs > 1 && testing.Short() {
+			continue
+		}
+		inst, err := vpart.RandomInstance(vpart.ClassA(tc.tables, tc.txns, 10), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trace, err := vpart.Drift(inst, tc.steps, 0.05, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saOpts := vpart.Options{Sites: tc.sites, Solver: "sa", Seed: 1}
+		costs := make([][2]float64, tc.steps) // warm, cold per step of run 0
+		for r := 0; r < tc.runs; r++ {
+			sess, err := vpart.NewSession(inst, saOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			anchor, err := vpart.Solve(ctx, inst, vpart.Options{Sites: tc.sites, Solver: "portfolio", Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Adopt(anchor); err != nil {
+				t.Fatal(err)
+			}
+			for k, delta := range trace {
+				if err := sess.Apply(delta); err != nil {
+					t.Fatal(err)
+				}
+				warm, _, err := sess.Resolve(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cold, err := vpart.Solve(ctx, sess.Instance(), saOpts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				step := [2]float64{warm.Cost.Balanced, cold.Cost.Balanced}
+				if !warm.WarmStart || step[0] > step[1]*tc.tol {
+					t.Errorf("%d tables, step %d: warm start %v, warm cost %.6g, cold cost %.6g",
+						tc.tables, k+1, warm.WarmStart, step[0], step[1])
+				}
+				if r == 0 {
+					costs[k] = step
+				} else if step != costs[k] {
+					t.Errorf("%d tables, step %d: run %d costs %v, run 1 costs %v", tc.tables, k+1, r+1, step, costs[k])
+				}
+			}
+		}
+	}
+}
+
 // TestSessionRejectsBadConfigs covers constructor and Apply error paths.
 func TestSessionRejectsBadConfigs(t *testing.T) {
 	if _, err := vpart.NewSession(nil, vpart.Options{Sites: 2}); err == nil {
@@ -136,6 +198,19 @@ func TestSessionRejectsBadConfigs(t *testing.T) {
 	}
 	if _, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 2, Warm: &vpart.Solution{}}); err == nil {
 		t.Error("caller-managed Warm accepted")
+	}
+	// Options every Resolve would reject must fail at construction.
+	writeRelevant := vpart.DefaultModelOptions()
+	writeRelevant.WriteAccounting = vpart.WriteRelevant
+	for name, opts := range map[string]vpart.Options{
+		"unknown solver":          {Sites: 2, Solver: "nope"},
+		"unknown preprocess":      {Sites: 2, Preprocess: "nope"},
+		"group + DisableGrouping": {Sites: 2, Preprocess: vpart.PreprocessGroup, DisableGrouping: true},
+		"qp under WriteRelevant":  {Sites: 2, Solver: "qp", Model: &writeRelevant},
+	} {
+		if _, err := vpart.NewSession(vpart.TPCC(), opts); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 
 	sess, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 2, Seed: 1})

@@ -15,8 +15,8 @@ const (
 	AlgorithmQP Algorithm = "qp"
 	// AlgorithmSA is the simulated annealing heuristic of Section 3.
 	AlgorithmSA Algorithm = "sa"
-	// AlgorithmPortfolio races several SA seeds (and optionally the QP
-	// solver) concurrently and returns the best incumbent.
+	// AlgorithmPortfolio races several SA seeds, one sa-par run (and
+	// optionally the QP solver) concurrently and returns the best incumbent.
 	AlgorithmPortfolio Algorithm = "portfolio"
 )
 

@@ -270,74 +270,14 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 	if inst == nil {
 		return nil, fmt.Errorf("vpart: nil instance")
 	}
-	if opts.Sites < 1 {
-		return nil, fmt.Errorf("vpart: invalid site count %d", opts.Sites)
+	r, err := resolveOptions(opts)
+	if err != nil {
+		return nil, err
 	}
+	opts, name, solver, mo, cons := r.opts, r.name, r.solver, r.model, r.opts.Constraints
 	// Fail fast before the O(instance) model compilation and grouping below.
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("vpart: %w", err)
-	}
-	name := opts.Solver
-	if name == "" {
-		name = "sa"
-	}
-	// Resolve the preprocessing pipeline. PreprocessDecompose wraps the
-	// selected solver in the decompose meta-solver, so any registered solver
-	// gains grouping + component-split preprocessing without knowing about it.
-	switch opts.Preprocess {
-	case "":
-		// Historical behaviour: grouping unless DisableGrouping.
-	case PreprocessGroup:
-		if opts.DisableGrouping {
-			return nil, fmt.Errorf("vpart: Preprocess %q contradicts DisableGrouping", PreprocessGroup)
-		}
-	case PreprocessNone:
-		opts.DisableGrouping = true
-	case PreprocessDecompose:
-		if name != "decompose" {
-			// An explicitly configured shard solver wins; otherwise the
-			// selected solver is the one being wrapped.
-			if opts.Decompose.Solver == "" {
-				opts.Decompose.Solver = name
-			}
-			name = "decompose"
-		}
-	default:
-		return nil, fmt.Errorf("vpart: unknown preprocess pipeline %q (want %q, %q or %q)",
-			opts.Preprocess, PreprocessGroup, PreprocessNone, PreprocessDecompose)
-	}
-	solver, ok := LookupSolver(name)
-	if !ok {
-		return nil, fmt.Errorf("vpart: unknown solver %q (registered: %v)", name, Solvers())
-	}
-	mo := DefaultModelOptions()
-	if opts.Model != nil {
-		mo = *opts.Model
-	}
-	// Normalise the constraint set: an empty set is the unconstrained fast
-	// path and must behave identically to a nil one.
-	cons := opts.Constraints
-	if cons.Empty() {
-		cons = nil
-		opts.Constraints = nil
-	}
-	if cons != nil {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("vpart: placement constraints are not supported together with Disjoint")
-		}
-		if err := cons.Validate(); err != nil {
-			return nil, fmt.Errorf("vpart: %w", err)
-		}
-		// Snapshot the set: the compiled models retain it, so a caller
-		// mutating their Constraints value after (or during) the solve must
-		// not change — or race — what this solve enforces.
-		cons = cons.Clone()
-		opts.Constraints = cons
-	}
-	if v, ok := solver.(OptionsValidator); ok {
-		if err := v.ValidateOptions(opts, mo); err != nil {
-			return nil, err
-		}
 	}
 
 	// Compile the original model (used for final evaluation and formatting),
@@ -446,6 +386,87 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 	sol.Cost = origModel.Evaluate(final)
 	sol.Runtime = time.Since(start)
 	return sol, nil
+}
+
+// resolvedOptions is an Options value checked and normalised for solving.
+type resolvedOptions struct {
+	// opts has the preprocess pipeline applied (DisableGrouping,
+	// Decompose.Solver) and Constraints either nil or a validated private
+	// clone.
+	opts   Options
+	name   string // registry name of the solver to run
+	solver Solver
+	model  ModelOptions
+}
+
+// resolveOptions checks opts without compiling anything: the site count, the
+// preprocess pipeline, the solver lookup, the constraint set and the solver's
+// own OptionsValidator. Solve, NewSession and Session.UpdateConstraints all
+// go through it, so a session cannot be created with options every resolve
+// would reject.
+func resolveOptions(opts Options) (resolvedOptions, error) {
+	if opts.Sites < 1 {
+		return resolvedOptions{}, fmt.Errorf("vpart: invalid site count %d", opts.Sites)
+	}
+	name := opts.Solver
+	if name == "" {
+		name = "sa"
+	}
+	// Resolve the preprocessing pipeline. PreprocessDecompose wraps the
+	// selected solver in the decompose meta-solver, so any registered solver
+	// gains grouping + component-split preprocessing without knowing about it.
+	switch opts.Preprocess {
+	case "":
+		// Historical behaviour: grouping unless DisableGrouping.
+	case PreprocessGroup:
+		if opts.DisableGrouping {
+			return resolvedOptions{}, fmt.Errorf("vpart: Preprocess %q contradicts DisableGrouping", PreprocessGroup)
+		}
+	case PreprocessNone:
+		opts.DisableGrouping = true
+	case PreprocessDecompose:
+		if name != "decompose" {
+			// An explicitly configured shard solver wins; otherwise the
+			// selected solver is the one being wrapped.
+			if opts.Decompose.Solver == "" {
+				opts.Decompose.Solver = name
+			}
+			name = "decompose"
+		}
+	default:
+		return resolvedOptions{}, fmt.Errorf("vpart: unknown preprocess pipeline %q (want %q, %q or %q)",
+			opts.Preprocess, PreprocessGroup, PreprocessNone, PreprocessDecompose)
+	}
+	solver, ok := LookupSolver(name)
+	if !ok {
+		return resolvedOptions{}, fmt.Errorf("vpart: unknown solver %q (registered: %v)", name, Solvers())
+	}
+	mo := DefaultModelOptions()
+	if opts.Model != nil {
+		mo = *opts.Model
+	}
+	// Normalise the constraint set: an empty set is the unconstrained fast
+	// path and must behave identically to a nil one.
+	if opts.Constraints.Empty() {
+		opts.Constraints = nil
+	} else {
+		if opts.Disjoint {
+			return resolvedOptions{}, fmt.Errorf("vpart: placement constraints are not supported together with Disjoint")
+		}
+		if err := opts.Constraints.Validate(); err != nil {
+			return resolvedOptions{}, fmt.Errorf("vpart: %w", err)
+		}
+		// Snapshot the set: compiled models retain it, so a caller mutating
+		// their Constraints value later must not change — or race — what is
+		// enforced.
+		opts.Constraints = opts.Constraints.Clone()
+	}
+	if v, ok := solver.(OptionsValidator); ok {
+		if err := v.ValidateOptions(opts, mo); err != nil {
+			return resolvedOptions{}, err
+		}
+	}
+	return resolvedOptions{opts: opts, name: name, solver: solver, model: mo}, nil
 }
 
 // warmToSolveSpace maps a caller-supplied warm hint (expressed over the
